@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "fts/exec/parallel_scan.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
 
@@ -85,15 +85,20 @@ int main() {
         scanner->ExecuteCount(fts::ScanEngine::kAvx512Fused512).ok());
   });
 
-  fts::JitScanEngine jit(512);
-  FTS_CHECK(*jit.ExecuteCount(generated.table, spec) ==
+  // The JIT rung through the morsel driver on one thread, as a
+  // one-thread query with the JIT engine runs it.
+  fts::ParallelScanOptions jit;
+  jit.requested = {fts::ScanEngine::kJit, 512};
+  jit.threads = 1;
+  FTS_CHECK(*fts::ExecuteParallelScanCount(*scanner, jit) ==
             generated.stage_matches.back());
   const double jit_count_ms = MedianMillis(reps, [&] {
-    fts::DoNotOptimizeAway(jit.ExecuteCount(generated.table, spec).ok());
+    fts::DoNotOptimizeAway(fts::ExecuteParallelScanCount(*scanner, jit).ok());
   });
-  FTS_CHECK(jit.Execute(generated.table, spec).ok());  // Warm the cache.
+  // Warm the cache.
+  FTS_CHECK(fts::ExecuteParallelScan(*scanner, jit).ok());
   const double jit_ms = MedianMillis(reps, [&] {
-    fts::DoNotOptimizeAway(jit.Execute(generated.table, spec).ok());
+    fts::DoNotOptimizeAway(fts::ExecuteParallelScan(*scanner, jit).ok());
   });
 
   std::printf("%-34s %10.3f ms\n", "static AVX-512 Fused (512)", static_ms);

@@ -13,8 +13,10 @@
 
 #include "fts/common/string_util.h"
 #include "fts/common/timer.h"
+#include "fts/exec/parallel_scan.h"
+#include "fts/jit/code_generator.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
+#include "fts/scan/table_scan.h"
 #include "fts/storage/data_generator.h"
 
 namespace {
@@ -96,12 +98,19 @@ int main(int argc, char** argv) {
     options.rows = 4'000'000;
     options.selectivities = {0.01, 0.5};
     const auto generated = fts::MakeScanTable(options);
-    fts::JitScanEngine engine(512, &cache);
     fts::ScanSpec scan;
     scan.predicates = {{"c0", CompareOp::kEq, fts::Value(int32_t{5})},
                        {"c1", CompareOp::kEq, fts::Value(int32_t{2})}};
+    // The JIT rung through the morsel driver on one thread, reusing the
+    // operator compiled above through `cache`.
+    fts::ParallelScanOptions jit;
+    jit.requested = {fts::ScanEngine::kJit, 512};
+    jit.threads = 1;
+    jit.cache = &cache;
     fts::Stopwatch run;
-    auto matches = engine.Execute(generated.table, scan);
+    auto scanner = fts::TableScanner::Prepare(generated.table, scan);
+    FTS_CHECK(scanner.ok());
+    auto matches = fts::ExecuteParallelScan(*scanner, jit);
     FTS_CHECK(matches.ok());
     std::printf(
         "\nexecuted on 4M rows: %llu matches in %.3f ms "

@@ -50,10 +50,10 @@ std::vector<EngineChoice> RungsFor(const ParallelScanOptions& options) {
   return {options.requested};
 }
 
-// Walks the ladder for one chunk. Mirrors JitScanEngine::RunLadder, but at
-// morsel granularity: a kUnavailable JIT failure (no AVX-512, no usable
-// compiler) dooms every JIT width for this morsel, so skip straight to the
-// precompiled rungs instead of burning a compile attempt per width.
+// Walks the ladder for one chunk: a kUnavailable JIT failure (no AVX-512,
+// no usable compiler) dooms every JIT width for this morsel, so skip
+// straight to the precompiled rungs instead of burning a compile attempt
+// per width.
 void RunMorsel(const TableScanner& scanner, JitCache& cache,
                const std::vector<EngineChoice>& rungs, MorselMode mode,
                ChunkId chunk_id, QueryContext* ctx, bool collect_counters,

@@ -132,7 +132,8 @@ class JitCache {
   Stats stats_;
 };
 
-// Process-wide cache instance used by JitScanEngine by default.
+// Process-wide cache instance; the morsel driver's JIT rung and the JIT
+// gather use it unless ParallelScanOptions::cache names another.
 JitCache& GlobalJitCache();
 
 }  // namespace fts

@@ -468,7 +468,8 @@ FusedScanFn FusedFnForEngine(ScanEngine engine) {
 Status ValidateEngine(ScanEngine engine) {
   if (engine == ScanEngine::kJit) {
     return Status::InvalidArgument(
-        "the JIT engine is driven by fts::JitScanEngine (fts/jit)");
+        "the JIT engine runs through the morsel driver "
+        "(fts/exec/parallel_scan.h)");
   }
   if (!ScanEngineAvailable(engine)) {
     return Status::Unavailable(StrFormat(
@@ -937,33 +938,6 @@ StatusOr<size_t> TableScanner::ExecuteChunkAggregate(
   return count;
 }
 
-StatusOr<TableScanner::AggResult> TableScanner::ExecuteAggregate(
-    ScanEngine engine) const {
-  FTS_RETURN_IF_ERROR(ValidateEngine(engine));
-  if (num_agg_terms_ == 0) {
-    return Status::InvalidArgument(
-        "scan spec carries no aggregates; use Execute");
-  }
-  AggResult result;
-  result.accumulators.resize(num_agg_terms_);
-  std::vector<AggAccumulator> partial(num_agg_terms_);
-  for (ChunkId chunk_id = 0; chunk_id < chunk_plans_.size(); ++chunk_id) {
-    FTS_RETURN_IF_ERROR(CheckCancellation(context_));
-    const ScanEngine chunk_engine =
-        AdaptEngine(EngineChoice{engine, 0}, chunk_id,
-                    cost::ScanMode::kAggregate)
-            .engine;
-    FTS_ASSIGN_OR_RETURN(
-        const size_t count,
-        ExecuteChunkAggregate(chunk_engine, chunk_id, partial.data()));
-    result.matched += count;
-    for (size_t i = 0; i < num_agg_terms_; ++i) {
-      result.accumulators[i].Merge(partial[i]);
-    }
-  }
-  return result;
-}
-
 StatusOr<TableMatches> TableScanner::Execute(ScanEngine engine) const {
   FTS_RETURN_IF_ERROR(ValidateEngine(engine));
   TableMatches result;
@@ -1011,8 +985,8 @@ StatusOr<uint64_t> TableScanner::ExecuteCount(ScanEngine engine) const {
 }
 
 EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
-                                       ChunkId chunk_id, cost::ScanMode mode,
-                                       bool jit_warm) const {
+                                       ChunkId chunk_id,
+                                       cost::ScanMode mode) const {
   if (!adaptive_engine_ || profile_ == nullptr ||
       chunk_id >= chunk_plans_.size()) {
     return requested;
@@ -1029,10 +1003,10 @@ EngineChoice TableScanner::AdaptEngine(const EngineChoice& requested,
     return requested;
   }
   double requested_ns = EstimateChunkNanos(requested.engine, chunk_id, mode);
-  if (requested.engine == ScanEngine::kJit && !jit_warm) {
-    // Cold signature: a JIT pick pays its share of one compile spread over
-    // the scan's runnable chunks (each chunk decides independently, so the
-    // per-chunk share is the fair accounting).
+  if (requested.engine == ScanEngine::kJit) {
+    // A JIT pick pays its share of one compile spread over the scan's
+    // runnable chunks (each chunk decides independently, so the per-chunk
+    // share is the fair accounting).
     requested_ns +=
         profile_->jit_compile_millis * 1e6 /
         static_cast<double>(std::max<size_t>(size_t{1}, runnable_chunks_));

@@ -85,9 +85,9 @@ class TableScanner {
     std::vector<AggAccumulator> agg_zone_partials;
   };
 
-  // Result of an aggregate-pushdown execution: one partial accumulator per
-  // ScanSpec aggregate (already merged across chunks for the whole-table
-  // entry point) plus the conjunction's match count.
+  // Result of an aggregate-pushdown execution: one accumulator per
+  // ScanSpec aggregate, merged across chunks in chunk order, plus the
+  // conjunction's match count.
   struct AggResult {
     std::vector<AggAccumulator> accumulators;
     uint64_t matched = 0;
@@ -115,9 +115,11 @@ class TableScanner {
   static StatusOr<TableScanner> Prepare(TablePtr table, const ScanSpec& spec,
                                         const PrepareOptions& options);
 
-  // Runs the scan and materializes matching positions per chunk.
-  // Fails when `engine` is not available on this CPU or is kJit (the JIT
-  // engine lives in fts/jit and has its own entry point).
+  // Runs the scan and materializes matching positions per chunk — the
+  // whole-table, single-engine SISD reference the differential tests
+  // compare against. Fails when `engine` is not available on this CPU or
+  // is kJit (JIT scans run through the morsel driver,
+  // fts/exec/parallel_scan.h).
   StatusOr<TableMatches> Execute(ScanEngine engine) const;
 
   // Count-only execution. For the SISD engines this skips position
@@ -149,13 +151,8 @@ class TableScanner {
   StatusOr<size_t> ExecuteChunkAggregate(ScanEngine engine, ChunkId chunk_id,
                                          AggAccumulator* accs) const;
 
-  // Whole-table aggregate pushdown: runs every chunk through
-  // ExecuteChunkAggregate and merges partials in chunk order (the
-  // deterministic merge order the parallel executor reproduces).
-  StatusOr<AggResult> ExecuteAggregate(ScanEngine engine) const;
-
   // Number of aggregate terms the prepared spec carries (0 = the spec had
-  // no aggregates and the Execute*Aggregate entry points will fail).
+  // no aggregates and the aggregate entry points will fail).
   size_t num_agg_terms() const { return num_agg_terms_; }
 
   const std::vector<ChunkPlan>& chunk_plans() const { return chunk_plans_; }
@@ -212,12 +209,11 @@ class TableScanner {
   // `requested` (never an ISA upgrade), keeping `requested` unless a
   // candidate is predicted at least 1.25x faster. Returns `requested`
   // unchanged when adaptation is off, the chunk runs in the compressed
-  // domain (engine-independent there), or the chunk has no stages.
-  // `jit_warm` tells the model the chunk's chain signature is already
-  // compiled, zeroing the amortized compile cost a kJit request
-  // otherwise pays. Records the decision in adaptive_stats().
+  // domain (engine-independent there), or the chunk has no stages. A kJit
+  // request is charged its share of one compile. Records the decision in
+  // adaptive_stats().
   EngineChoice AdaptEngine(const EngineChoice& requested, ChunkId chunk_id,
-                           cost::ScanMode mode, bool jit_warm = false) const;
+                           cost::ScanMode mode) const;
 
   // Predicted execution cost of one chunk / the whole scan on `engine`,
   // from the calibrated constants and the per-chunk estimates. Compressed
@@ -266,8 +262,8 @@ class TableScanner {
 };
 
 // Copies the scanner's PruningSummary into the report's zone-map fields.
-// Every execution path (serial ladder, JIT, morsel-parallel) calls this so
-// pruning is observable uniformly.
+// The morsel driver calls this for every scan so pruning is observable
+// uniformly.
 void FillPruningReport(const TableScanner& scanner, ExecutionReport* report);
 
 // Copies the scanner's per-stage encoding mix and accumulated

@@ -19,7 +19,7 @@
 // Integer accumulators must match the reference bit-for-bit; float SUMs
 // may differ in association (vector tree-fold vs scalar left fold), so
 // sum_double alone gets a relative tolerance. Per engine, the parallel
-// path must be byte-identical to the serial path at every thread count.
+// path must be byte-identical to the one-thread run at every thread count.
 //
 // Failures print a replay command; FTS_TEST_SEED=<seed> reruns one case.
 
@@ -35,7 +35,6 @@
 #include "fts/common/string_util.h"
 #include "fts/db/database.h"
 #include "fts/exec/parallel_scan.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/simd/agg_spec.h"
 #include "fts/storage/compare_op.h"
@@ -77,6 +76,17 @@ TableScanner::AggResult FoldReference(const TableScanner& scanner) {
     }
   }
   return result;
+}
+
+// One engine over the whole scan: the morsel driver on one thread under
+// kStrict, so an engine that fails fails the call instead of demoting.
+StatusOr<TableScanner::AggResult> AggregateOn(const TableScanner& scanner,
+                                              ScanEngine engine) {
+  ParallelScanOptions options;
+  options.requested = {engine, 0};
+  options.fallback = FallbackPolicy::kStrict;
+  options.threads = 1;
+  return ExecuteParallelScanAggregate(scanner, options);
 }
 
 // Field-by-field accumulator comparison. Integer fields (count, sum_bits,
@@ -157,7 +167,7 @@ TEST(AggPushdownEdgeTest, SumWidensPastThirtyTwoBits) {
 
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateOn(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     EXPECT_EQ(result->matched, matched) << ScanEngineToString(engine);
     EXPECT_EQ(static_cast<int64_t>(result->accumulators[0].sum_bits),
@@ -199,7 +209,7 @@ TEST(AggPushdownEdgeTest, ZeroAndFullSurvivorMasks) {
 
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateOn(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     EXPECT_EQ(result->matched, matched) << ScanEngineToString(engine);
     EXPECT_EQ(static_cast<int64_t>(result->accumulators[0].sum_bits),
@@ -253,7 +263,7 @@ TEST(AggPushdownEdgeTest, ZoneShortcutAndStageFreeChunks) {
     const TableScanner::AggResult reference = FoldReference(*scanner);
     for (const ScanEngine engine : kAllEngines) {
       if (!ScanEngineAvailable(engine)) continue;
-      const auto result = scanner->ExecuteAggregate(engine);
+      const auto result = AggregateOn(*scanner, engine);
       ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
       ExpectAggEqual(reference, *result,
                      StrFormat("%s with_sum=%d", ScanEngineToString(engine),
@@ -297,18 +307,18 @@ TEST(AggPushdownEdgeTest, DictionaryAndBitPackedTerms) {
   ASSERT_GT(reference.matched, 0u);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateOn(*scanner, engine);
     ASSERT_TRUE(result.ok()) << ScanEngineToString(engine);
     ExpectAggEqual(reference, *result, ScanEngineToString(engine));
   }
 
 #if !defined(__SANITIZE_THREAD__)
-  // The JIT engine ladder-demotes the whole scan (generated aggregate
-  // loops only handle plain terms) but must still return the same result.
+  // The JIT rung ladder-demotes every chunk (generated aggregate loops
+  // only handle plain terms) but must still return the same result.
   if (GetCpuFeatures().HasFusedScanAvx512()) {
-    JitScanEngine engine(512);
     ExecutionReport report;
-    const auto result = engine.ExecuteAggregate(table, spec, &report);
+    const auto result = ExecuteParallelScanAggregate(
+        *scanner, testing::JitScanOptions(), &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectAggEqual(reference, *result, "jit512(dict/packed)");
     EXPECT_TRUE(report.degraded) << report.ToString();
@@ -471,7 +481,7 @@ TEST_P(AggPushdownDifferentialTest, EnginesMatchMaterializeReference) {
   const TableScanner::AggResult reference = FoldReference(*scanner);
   for (const ScanEngine engine : kAllEngines) {
     if (!ScanEngineAvailable(engine)) continue;
-    const auto result = scanner->ExecuteAggregate(engine);
+    const auto result = AggregateOn(*scanner, engine);
     ASSERT_TRUE(result.ok())
         << ScanEngineToString(engine) << ": " << result.status().ToString()
         << "\n" << testing::ReplayCommand(kBinary, seed);
@@ -484,8 +494,8 @@ TEST_P(AggPushdownDifferentialTest, EnginesMatchMaterializeReference) {
   }
 }
 
-// The morsel-driven aggregate path is byte-identical to the serial path
-// for the same engine at 1/2/4 threads, and matches the reference.
+// The morsel-driven aggregate path is byte-identical at 1/2/4 threads for
+// the same engine, and matches the reference.
 TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
   const uint64_t seed = GetParam();
   const FuzzCase fuzz = MakeAggCase(seed);
@@ -498,14 +508,14 @@ TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
       GetCpuFeatures().HasFusedScanAvx512() ? ScanEngine::kAvx512Fused512
                                             : ScanEngine::kSisdAutoVec};
   for (const ScanEngine engine : engines) {
-    const auto serial = scanner->ExecuteAggregate(engine);
-    ASSERT_TRUE(serial.ok()) << testing::ReplayCommand(kBinary, seed);
-    ExpectAggEqual(reference, *serial,
-                   StrFormat("serial(%s) seed=%llu\n%s",
+    const auto one_thread = AggregateOn(*scanner, engine);
+    ASSERT_TRUE(one_thread.ok()) << testing::ReplayCommand(kBinary, seed);
+    ExpectAggEqual(reference, *one_thread,
+                   StrFormat("threads=1(%s) seed=%llu\n%s",
                              ScanEngineToString(engine),
                              static_cast<unsigned long long>(seed),
                              testing::ReplayCommand(kBinary, seed).c_str()));
-    for (const int threads : {1, 2, 4}) {
+    for (const int threads : {2, 4}) {
       ParallelScanOptions options;
       options.requested = {engine, 0};
       options.fallback = FallbackPolicy::kStrict;
@@ -517,7 +527,7 @@ TEST_P(AggPushdownDifferentialTest, ParallelPathByteIdentical) {
           << parallel.status().ToString() << "\n"
           << testing::ReplayCommand(kBinary, seed);
       ExpectAggBytesIdentical(
-          *serial, *parallel,
+          *one_thread, *parallel,
           StrFormat("parallel(%s, threads=%d) seed=%llu spec=%s\n%s",
                     ScanEngineToString(engine), threads,
                     static_cast<unsigned long long>(seed),
@@ -547,17 +557,7 @@ TEST_P(JitAggDifferentialTest, JitMatchesMaterializeReference) {
   if (!scanner.ok()) return;
 
   const TableScanner::AggResult reference = FoldReference(*scanner);
-  JitScanEngine engine(512);
-  const auto serial = engine.ExecuteAggregate(fuzz.table, fuzz.spec);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString() << "\n"
-                           << testing::ReplayCommand(kBinary, seed);
-  ExpectAggEqual(reference, *serial,
-                 StrFormat("jit512 seed=%llu spec=%s\n%s",
-                           static_cast<unsigned long long>(seed),
-                           fuzz.spec.ToString().c_str(),
-                           testing::ReplayCommand(kBinary, seed).c_str()));
-
-  for (const int threads : {2, 4}) {
+  for (const int threads : {1, 2, 4}) {
     ParallelScanOptions options;
     options.requested = {ScanEngine::kJit, 512};
     options.threads = threads;

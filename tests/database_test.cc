@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "fts/common/cpu_info.h"
+#include "fts/common/random.h"
 #include "fts/db/database.h"
 #include "fts/storage/data_generator.h"
+#include "fts/storage/rle_column.h"
 #include "fts/storage/table_builder.h"
+#include "fts/storage/value_column.h"
 
 namespace fts {
 namespace {
@@ -144,6 +147,75 @@ TEST_F(DatabaseTest, QueryResultToStringRenders) {
   const auto result = db_.Query("SELECT COUNT(*) FROM tbl WHERE c0 = 5");
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->ToString().find("COUNT(*)"), std::string::npos);
+}
+
+// A one-thread JIT query runs through the morsel driver like any other:
+// every runnable chunk is its own morsel and walks the degradation ladder
+// on its own. The one chunk outside JIT coverage — an RLE predicate
+// column next to a plain one, a mixed compressed/kernel chain — demotes
+// alone to a static rung while the other chunks stay on the JIT, and the
+// rows equal the SISD reference.
+TEST(DatabaseJitMorselTest, OneThreadJitDemotesOnlyTheUncoveredChunk) {
+  if (!GetCpuFeatures().HasFusedScanAvx512()) {
+    GTEST_SKIP() << "AVX-512 not available";
+  }
+  constexpr size_t kChunks = 4;
+  constexpr size_t kRowsPerChunk = 4099;  // Awkward: not a lane multiple.
+  constexpr size_t kMixedChunk = 2;
+  TableBuilder builder({{"c0", DataType::kInt32}, {"c1", DataType::kInt32}});
+  Xoshiro256 rng(0x3C);
+  for (size_t chunk = 0; chunk < kChunks; ++chunk) {
+    AlignedVector<int32_t> c0, c1;
+    for (size_t r = 0; r < kRowsPerChunk; ++r) {
+      c0.push_back(static_cast<int32_t>(rng.NextBounded(8)));
+      c1.push_back(static_cast<int32_t>(rng.NextBounded(4)));
+    }
+    ColumnPtr c0_column =
+        chunk == kMixedChunk
+            ? ColumnPtr(std::make_shared<RleColumn<int32_t>>(
+                  RleColumn<int32_t>::FromValues(c0)))
+            : ColumnPtr(std::make_shared<ValueColumn<int32_t>>(c0));
+    ASSERT_TRUE(builder
+                    .AddChunk({std::move(c0_column),
+                               std::make_shared<ValueColumn<int32_t>>(c1)})
+                    .ok());
+  }
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", builder.Build()).ok());
+  const std::string sql = "SELECT c0, c1 FROM t WHERE c0 = 3 AND c1 = 1";
+
+  Database::QueryOptions jit;
+  jit.engine = ScanEngine::kJit;
+  jit.threads = 1;
+  const auto result = db.Query(sql, jit);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ExecutionReport& report = result->execution_report;
+  EXPECT_EQ(report.worker_count, 1);
+  EXPECT_EQ(report.morsel_count, kChunks);
+  ASSERT_EQ(report.morsel_choices.size(), kChunks);
+  for (size_t chunk = 0; chunk < kChunks; ++chunk) {
+    const EngineChoice& choice = report.morsel_choices[chunk];
+    if (chunk == kMixedChunk) {
+      EXPECT_NE(choice.engine, ScanEngine::kJit) << report.ToString();
+    } else {
+      EXPECT_EQ(choice, (EngineChoice{ScanEngine::kJit, 512}))
+          << "chunk " << chunk << ": " << report.ToString();
+    }
+  }
+  EXPECT_TRUE(report.degraded) << report.ToString();
+
+  Database::QueryOptions sisd;
+  sisd.engine = ScanEngine::kSisdNoVec;
+  const auto reference = db.Query(sql, sisd);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->matched_rows, 0u);
+  ASSERT_EQ(result->RowCountOut(), reference->RowCountOut());
+  for (size_t r = 0; r < reference->RowCountOut(); ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      ASSERT_EQ(result->ValueAt(r, c), reference->ValueAt(r, c))
+          << "row " << r << " column " << c;
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/fault_injection.h"
 #include "fts/jit/jit_cache.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/bitpacked_column.h"
 #include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -50,9 +50,8 @@ TEST_F(JitEngineTest, MatchesGroundTruthAllWidths) {
 
   for (const int width : {128, 256, 512}) {
     JitCache cache;
-    JitScanEngine engine(width, &cache);
-    const auto matches =
-        engine.Execute(generated.table, TwoPredicateSpec(generated));
+    const auto matches = testing::JitScan(
+        generated.table, TwoPredicateSpec(generated), width, &cache);
     ASSERT_TRUE(matches.ok()) << matches.status().ToString();
     EXPECT_EQ(matches->TotalMatches(), generated.stage_matches.back())
         << "width " << width;
@@ -74,8 +73,7 @@ TEST_F(JitEngineTest, AgreesWithStaticKernelOnChunkedDictionaryTable) {
   const GeneratedScanTable generated = MakeScanTable(options);
   const ScanSpec spec = TwoPredicateSpec(generated);
 
-  JitScanEngine engine(512);
-  const auto jit = engine.Execute(generated.table, spec);
+  const auto jit = testing::JitScan(generated.table, spec);
   ASSERT_TRUE(jit.ok()) << jit.status().ToString();
   const auto reference =
       ExecuteScan(generated.table, spec, ScanEngine::kScalarFused);
@@ -89,27 +87,27 @@ TEST_F(JitEngineTest, AgreesWithStaticKernelOnChunkedDictionaryTable) {
 TEST_F(JitEngineTest, CacheHitsAcrossQueriesWithSameShape) {
   FTS_SKIP_IF_FAULTS_ARMED();
   JitCache cache;
-  JitScanEngine engine(512, &cache);
 
   ScanTableOptions options;
   options.rows = 1000;
   options.selectivities = {0.5, 0.5};
   const GeneratedScanTable generated = MakeScanTable(options);
 
-  ASSERT_TRUE(engine.Execute(generated.table,
-                             TwoPredicateSpec(generated)).ok());
+  ASSERT_TRUE(testing::JitScan(generated.table, TwoPredicateSpec(generated),
+                               512, &cache)
+                  .ok());
   EXPECT_EQ(cache.stats().misses, 1u);
 
   // Same shape, different values: must be a cache hit.
   ScanSpec other = TwoPredicateSpec(generated);
   other.predicates[0].value = Value(12345);
-  ASSERT_TRUE(engine.Execute(generated.table, other).ok());
+  ASSERT_TRUE(testing::JitScan(generated.table, other, 512, &cache).ok());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_GE(cache.stats().hits, 1u);
 
   // Different comparator: new signature, new compile.
   other.predicates[0].op = CompareOp::kLt;
-  ASSERT_TRUE(engine.Execute(generated.table, other).ok());
+  ASSERT_TRUE(testing::JitScan(generated.table, other, 512, &cache).ok());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -150,14 +148,13 @@ TEST_F(JitEngineTest, CountOnlyOperatorMatchesMaterializingOne) {
   const GeneratedScanTable generated = MakeScanTable(options);
 
   JitCache cache;
-  JitScanEngine engine(512, &cache);
   const ScanSpec spec = TwoPredicateSpec(generated);
-  const auto count = engine.ExecuteCount(generated.table, spec);
+  const auto count = testing::JitScanCount(generated.table, spec, 512, &cache);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, generated.stage_matches.back());
 
   // The count-only signature is distinct from the materializing one.
-  const auto matches = engine.Execute(generated.table, spec);
+  const auto matches = testing::JitScan(generated.table, spec, 512, &cache);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->TotalMatches(), *count);
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -189,8 +186,7 @@ TEST_F(JitEngineTest, BitPackedTableEndToEnd) {
   const auto reference = ExecuteScan(table, spec, ScanEngine::kScalarFused);
   ASSERT_TRUE(reference.ok());
 
-  JitScanEngine engine(512);
-  const auto jit = engine.Execute(table, spec);
+  const auto jit = testing::JitScan(table, spec);
   ASSERT_TRUE(jit.ok()) << jit.status().ToString();
   ASSERT_EQ(jit->chunks.size(), reference->chunks.size());
   EXPECT_EQ(jit->chunks[0].positions, reference->chunks[0].positions);

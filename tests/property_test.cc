@@ -8,7 +8,6 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
 #include "fts/common/string_util.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/table_builder.h"
 #include "test_util.h"
@@ -182,8 +181,8 @@ TEST_P(JitPropertyTest, JitMatchesOracle) {
       TableScanner::Prepare(test_case.table, test_case.spec);
   if (!prepared.ok()) return;
 
-  JitScanEngine engine(512);
-  const auto matches = engine.Execute(test_case.table, test_case.spec);
+  const auto matches =
+      ExecuteParallelScan(*prepared, testing::JitScanOptions());
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(Flatten(*matches, *test_case.table), test_case.oracle_rows)
       << " seed=" << GetParam() << " spec=" << test_case.spec.ToString()

@@ -13,10 +13,10 @@
 #include "fts/common/cpu_info.h"
 #include "fts/common/string_util.h"
 #include "fts/exec/parallel_scan.h"
-#include "fts/jit/jit_scan_engine.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/compare_op.h"
 #include "fts/storage/table_builder.h"
+#include "test_util.h"
 
 namespace fts {
 namespace {
@@ -71,8 +71,8 @@ void ExpectAllEnginesAgree(const TablePtr& table, const ScanSpec& spec,
   }
 
   if (JitUsable()) {
-    JitScanEngine jit(512);
-    const auto matches = jit.Execute(table, spec);
+    const auto matches =
+        ExecuteParallelScan(*scanner, testing::JitScanOptions());
     ASSERT_TRUE(matches.ok()) << what << ": " << matches.status().ToString();
     check(*matches, "jit512");
   }
@@ -120,8 +120,7 @@ TEST(ScanTailTest, EmptyTableReturnsNoChunks) {
     EXPECT_EQ(*count, 0u);
   }
   if (JitUsable()) {
-    JitScanEngine jit(512);
-    const auto matches = jit.Execute(table, spec);
+    const auto matches = testing::JitScan(table, spec);
     ASSERT_TRUE(matches.ok());
     EXPECT_TRUE(matches->chunks.empty());
   }

@@ -176,8 +176,9 @@ TEST(ParallelScanTest, StrictUnavailableEngineFailsDeterministically) {
       TableScanner::Prepare(generated.table, SpecFor(generated));
   ASSERT_TRUE(scanner.ok());
 
-  // kJit under kStrict needs JitScanEngine; the morsel runner reports the
-  // first chunk's failure no matter which worker hit it first.
+  // kJit under kStrict on a CPU without AVX-512 fails every morsel; the
+  // morsel runner reports the first chunk's failure no matter which
+  // worker hit it first.
   ParallelScanOptions options;
   options.requested = {ScanEngine::kJit, 512};
   options.fallback = FallbackPolicy::kStrict;
