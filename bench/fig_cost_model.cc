@@ -1,7 +1,7 @@
 // Cost-model figure (DESIGN.md §14, beyond the paper): what the
 // calibrated cost model buys and what it costs.
 //
-// Three claims, one arm each:
+// Four claims, one arm each:
 //
 //   skew_rerank        alternating chunk types with opposite value
 //                      distributions under one conjunction -- the static
@@ -11,6 +11,15 @@
 //   uniform_overhead   identical distribution in every chunk -- the model
 //                      estimates, ranks, and changes nothing. Acceptance:
 //                      <= ~2% added wall time (Prepare + Execute).
+//   paper_equality     the paper's workload: equality predicates on
+//                      match-probability data, spec in planner order,
+//                      engine adaptation allowed.
+//                      The planner and the scan share one estimator, so
+//                      the model keeps the order. Gate: the binary exits
+//                      non-zero when the adaptive median is slower than
+//                      the static one by more than the interquartile
+//                      range of the paired differences. Also reports the
+//                      table's statistics build time.
 //   prediction         EstimateScanNanos vs measured median across
 //                      encodings x engines, on the calibrated profile.
 //                      Acceptance: within ~15% for the kernel paths.
@@ -35,12 +44,15 @@
 #include "bench/bench_util.h"
 #include "fts/common/cpu_info.h"
 #include "fts/common/random.h"
+#include "fts/common/string_util.h"
 #include "fts/scan/table_scan.h"
 #include "fts/storage/bitpacked_column.h"
+#include "fts/storage/data_generator.h"
 #include "fts/storage/delta_column.h"
 #include "fts/storage/for_column.h"
 #include "fts/storage/rle_column.h"
 #include "fts/storage/table_builder.h"
+#include "fts/storage/table_statistics.h"
 #include "fts/storage/value_column.h"
 
 namespace {
@@ -113,6 +125,8 @@ ScanSpec TwoColumnSpec() {
 struct PairedMillis {
   double static_ms = 0.0;
   double adaptive_ms = 0.0;
+  // Interquartile range of the per-rep (adaptive - static) differences.
+  double diff_iqr_ms = 0.0;
 };
 
 PairedMillis PairedScanMillis(const TablePtr& table, const ScanSpec& spec,
@@ -137,7 +151,12 @@ PairedMillis PairedScanMillis(const TablePtr& table, const ScanSpec& spec,
           .push_back(stopwatch.ElapsedMillis());
     }
   }
-  return {fts::Median(static_samples), fts::Median(adaptive_samples)};
+  std::vector<double> diffs;
+  for (size_t i = 0; i < static_samples.size(); ++i) {
+    diffs.push_back(adaptive_samples[i] - static_samples[i]);
+  }
+  return {fts::Median(static_samples), fts::Median(adaptive_samples),
+          fts::Percentile(diffs, 75.0) - fts::Percentile(diffs, 25.0)};
 }
 
 // ---- prediction arm ----------------------------------------------------
@@ -303,7 +322,7 @@ int main() {
     FTS_CHECK(MustCount(static_scan, engine) ==
               MustCount(ranked_scan, engine));
 
-    const auto [static_ms, adaptive_ms] =
+    const auto [static_ms, adaptive_ms, diff_iqr_ms] =
         PairedScanMillis(table, spec, engine, reps);
     const double speedup = static_ms / adaptive_ms;
     std::printf("skew_rerank:      static %8.3f ms   adaptive %8.3f ms   "
@@ -332,7 +351,7 @@ int main() {
           static_cast<int32_t>(rng.NextBounded(1001)));
     });
     const ScanSpec spec = TwoColumnSpec();
-    const auto [static_ms, adaptive_ms] =
+    const auto [static_ms, adaptive_ms, diff_iqr_ms] =
         PairedScanMillis(table, spec, engine, reps);
     const double overhead_pct = (adaptive_ms / static_ms - 1.0) * 100.0;
     std::printf("uniform_overhead: static %8.3f ms   adaptive %8.3f ms   "
@@ -345,6 +364,72 @@ int main() {
         .Field("static_ms", static_ms)
         .Field("adaptive_ms", adaptive_ms)
         .Field("overhead_pct", overhead_pct)
+        .Emit();
+  }
+
+  // ---- paper_equality: adaptive must not lose on the paper's workload --
+  bool equality_ok = true;
+  {
+    // The shell's `\gen t 2000000 0.1,0.5` table, where the old equality
+    // estimate (1/(max-min+1)) moved the 50 % predicate first and ran
+    // 1.8x slower.
+    fts::ScanTableOptions options;
+    options.rows = std::min(rows, size_t{2'000'000});
+    options.selectivities = {0.1, 0.5};  // c0 = 5 AND c1 = 2
+    options.chunk_size = fts::kDefaultChunkSize;
+    const fts::GeneratedScanTable generated = fts::MakeScanTable(options);
+    const TablePtr& table = generated.table;
+    const double stats_ms = MedianMillis(reps, [&] {
+      fts::DoNotOptimizeAway(
+          fts::TableStatistics::Compute(*table).column_count());
+    });
+    // Planner order: ascending whole-table estimate, ties kept, as
+    // PredicateReorderingRule sorts a conjunction. spec.adaptive lets the
+    // adaptive arm pick engines per chunk too, as a default-engine query
+    // does.
+    ScanSpec spec;
+    spec.adaptive = true;
+    for (size_t p = 0; p < options.selectivities.size(); ++p) {
+      spec.predicates.push_back({fts::StrFormat("c%zu", p),
+                                 fts::CompareOp::kEq,
+                                 Value(generated.search_values[p])});
+    }
+    const auto estimate = [&](const fts::PredicateSpec& predicate) {
+      return fts::EstimateTableSelectivity(
+          *table, *table->ColumnIndex(predicate.column), predicate.op,
+          predicate.value);
+    };
+    std::stable_sort(spec.predicates.begin(), spec.predicates.end(),
+                     [&](const fts::PredicateSpec& a,
+                         const fts::PredicateSpec& b) {
+                       return estimate(a) < estimate(b);
+                     });
+    const TableScanner static_scan = PrepareWith(table, spec, false);
+    const TableScanner ranked_scan = PrepareWith(table, spec, true);
+    FTS_CHECK(MustCount(static_scan, engine) ==
+              MustCount(ranked_scan, engine));
+
+    const auto [static_ms, adaptive_ms, diff_iqr_ms] =
+        PairedScanMillis(table, spec, engine, reps);
+    equality_ok = adaptive_ms - static_ms <= diff_iqr_ms;
+    std::printf("paper_equality:   static %8.3f ms   adaptive %8.3f ms   "
+                "paired IQR %.3f ms   (chunks reordered %zu/%zu)   %s\n",
+                static_ms, adaptive_ms, diff_iqr_ms,
+                ranked_scan.chunks_reordered(),
+                ranked_scan.chunk_plans().size(),
+                equality_ok ? "ok" : "FAIL: adaptive slower than static");
+    std::printf("statistics build: %.3f ms for %zu rows x %zu columns\n\n",
+                stats_ms, options.rows, options.selectivities.size());
+    BenchLine("fig_cost_model")
+        .Field("case", "paper_equality")
+        .Field("engine", fts::ScanEngineToString(engine))
+        .Field("rows", static_cast<uint64_t>(options.rows))
+        .Field("static_ms", static_ms)
+        .Field("adaptive_ms", adaptive_ms)
+        .Field("diff_iqr_ms", diff_iqr_ms)
+        .Field("chunks_reordered",
+               static_cast<uint64_t>(ranked_scan.chunks_reordered()))
+        .Field("stats_build_ms", stats_ms)
         .Emit();
   }
 
@@ -391,5 +476,5 @@ int main() {
           .Emit();
     }
   }
-  return 0;
+  return equality_ok ? 0 : 1;
 }

@@ -243,9 +243,6 @@ Status PredicateSimplificationRule::Apply(LqpNodePtr* root) {
 Status PredicateReorderingRule::Apply(LqpNodePtr* root) {
   const StoredTableNode* stored = FindStoredTable(*root);
   if (stored == nullptr) return Status::Ok();
-  const std::shared_ptr<const TableStatistics> statistics_ptr =
-      GetCachedStatistics(stored->table());
-  const TableStatistics& statistics = *statistics_ptr;
 
   std::vector<LqpNodePtr> nodes = FlattenChain(*root);
 
@@ -256,8 +253,8 @@ Status PredicateReorderingRule::Apply(LqpNodePtr* root) {
     const auto column_index =
         stored->table()->ColumnIndex(predicate_node->predicate().column);
     FTS_RETURN_IF_ERROR(column_index.status());
-    predicate_node->set_estimated_selectivity(statistics.EstimateSelectivity(
-        *column_index, predicate_node->predicate().op,
+    predicate_node->set_estimated_selectivity(EstimateTableSelectivity(
+        *stored->table(), *column_index, predicate_node->predicate().op,
         predicate_node->predicate().literal));
   }
 

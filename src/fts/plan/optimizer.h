@@ -32,8 +32,9 @@ class PredicatePushdownRule final : public OptimizerRule {
 };
 
 // Orders adjacent PredicateNodes by estimated selectivity, most selective
-// first, using TableStatistics of the underlying stored table. Annotates
-// each node with its estimate.
+// first, using the stored table's estimator (EstimateTableSelectivity, the
+// one the scan re-ranks chunks with). Annotates each node with its
+// estimate.
 class PredicateReorderingRule final : public OptimizerRule {
  public:
   const char* name() const override { return "PredicateReordering"; }

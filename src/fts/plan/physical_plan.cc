@@ -789,10 +789,14 @@ Status ProjectColumnar(const PhysicalPlan& plan, const TableMatches& matches,
   report.gather_kernel_rows = stats.kernel_rows;
   report.gather_typed_rows = stats.typed_rows;
   report.gather_delta_blocks = stats.delta_blocks_decoded;
-  // Price the gathered cells with the calibrated emit constants — the
-  // Project stage's est-vs-actual in EXPLAIN ANALYZE.
+  // Price the gathered cells with the profile the scan used — the Project
+  // stage's est-vs-actual in EXPLAIN ANALYZE. Only engine adaptation loads
+  // the calibrated profile, so a pinned-engine projection never pays for
+  // calibration here.
   if (report.model_active) {
-    const cost::CostProfile& profile = cost::CalibratedProfile();
+    const cost::CostProfile& profile = report.adaptive_engines
+                                           ? cost::CalibratedProfile()
+                                           : cost::DefaultProfile();
     report.project_est_millis =
         cost::GatherCostNs(profile, report.executed.engine,
                            report.gather_rows) /

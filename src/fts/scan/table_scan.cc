@@ -15,6 +15,7 @@
 #include "fts/storage/dictionary_column.h"
 #include "fts/storage/for_column.h"
 #include "fts/storage/rle_column.h"
+#include "fts/storage/table_statistics.h"
 #include "fts/storage/zone_map.h"
 
 namespace fts {
@@ -65,18 +66,14 @@ uint64_t ColumnScanBytes(const BaseColumn& column) {
 // parallel executors see one unified impossible/dropped mechanism.
 // Predicates over RLE/delta columns that survive zone classification fill
 // `*compressed_stage` and set `*is_compressed` instead of building a
-// kernel stage (fts/scan/compressed_scan.h). `*selectivity` receives the
-// cost model's estimate of the fraction of this chunk's rows the
-// predicate keeps, from the same bounds zone classification consults
-// (0.5 when no bounds exist).
+// kernel stage (fts/scan/compressed_scan.h).
 Status BuildStage(const BaseColumn& column, const ZoneMap* zone,
                   const PredicateSpec& predicate, ScanStage* stage,
                   CompressedScanStage* compressed_stage, bool* is_compressed,
-                  bool* dropped, bool* impossible, double* selectivity) {
+                  bool* dropped, bool* impossible) {
   *dropped = false;
   *impossible = false;
   *is_compressed = false;
-  *selectivity = 0.5;
 
   if (column.encoding() == ColumnEncoding::kFor) {
     // Frame-of-reference: rebase the literal into the delta domain, after
@@ -140,8 +137,6 @@ Status BuildStage(const BaseColumn& column, const ZoneMap* zone,
       case ZoneFate::kMaybe:
         break;
     }
-    *selectivity = cost::EstimateUniformSelectivity<uint32_t>(
-        0, max_code, predicate.op, static_cast<uint32_t>(delta));
     stage->data = column.scan_data();
     stage->type = ScanElementType::kU32;
     stage->op = predicate.op;
@@ -181,12 +176,6 @@ Status BuildStage(const BaseColumn& column, const ZoneMap* zone,
         *dropped = true;
         return Status::Ok();
       }
-      DispatchDataType(column.data_type(), [&](auto tag) {
-        using T = decltype(tag);
-        *selectivity = cost::EstimateUniformSelectivity<T>(
-            ValueAs<T>(zone->min), ValueAs<T>(zone->max), predicate.op,
-            ValueAs<T>(casted));
-      });
     }
     compressed_stage->column = &column;
     compressed_stage->op = predicate.op;
@@ -241,9 +230,6 @@ Status BuildStage(const BaseColumn& column, const ZoneMap* zone,
             case ZoneFate::kMaybe:
               break;
           }
-          *selectivity = cost::EstimateUniformSelectivity<uint32_t>(
-              zone->min_code, zone->max_code, translated.op,
-              translated.code);
         }
         stage->data = column.scan_data();
         stage->type = ScanElementType::kU32;
@@ -285,12 +271,6 @@ Status BuildStage(const BaseColumn& column, const ZoneMap* zone,
       *dropped = true;
       return Status::Ok();
     }
-    DispatchDataType(column.data_type(), [&](auto tag) {
-      using T = decltype(tag);
-      *selectivity = cost::EstimateUniformSelectivity<T>(
-          ValueAs<T>(zone->min), ValueAs<T>(zone->max), predicate.op,
-          ValueAs<T>(casted));
-    });
   }
   stage->data = column.scan_data();
   stage->type = element_type;
@@ -631,6 +611,7 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
   const cost::CostProfile& profile =
       adaptive_engine ? cost::CalibratedProfile() : cost::DefaultProfile();
   const ScanEngine ranking_engine = RankingEngine();
+  const TableStatistics& statistics = *table->statistics();
   size_t chunks_reordered = 0;
   size_t runnable_chunks = 0;
   double est_rows = 0.0;
@@ -666,11 +647,10 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
       bool is_compressed = false;
       bool dropped = false;
       bool impossible = false;
-      double selectivity = 0.5;
       FTS_RETURN_IF_ERROR(BuildStage(column, zone, spec.predicates[p],
                                      &stage, &compressed_stage,
                                      &is_compressed, &dropped,
-                                     &impossible, &selectivity));
+                                     &impossible));
       if (impossible) {
         plan.impossible = true;
         plan.stages.clear();
@@ -700,6 +680,12 @@ StatusOr<TableScanner> TableScanner::Prepare(TablePtr table,
             ColumnScanBytes(chunk.column(column_indexes[p]));
         continue;
       }
+      // The planner's estimator, priced in the value domain against this
+      // chunk's bounds (even when pruning is off), so the scan's order
+      // agrees with the planner's wherever the chunk shows no skew.
+      const double selectivity = statistics.EstimateSelectivity(
+          column_indexes[p], spec.predicates[p].op, spec.predicates[p].value,
+          chunk.zone_map(column_indexes[p]));
       if (is_compressed) {
         plan.compressed.push_back(compressed_stage);
         plan.compressed_sel.push_back(selectivity);

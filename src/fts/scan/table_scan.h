@@ -39,8 +39,8 @@ class TableScanner {
     // is result-invariant for a conjunction.
     std::vector<ScanStage> stages;
     // Estimated per-stage selectivities, parallel to `stages` (and kept
-    // in re-ranked order). From zone-map/code-space bounds under the
-    // uniform assumption; 0.5 when no bounds exist.
+    // in re-ranked order): TableStatistics::EstimateSelectivity against
+    // this chunk's zone map, the estimator the planner orders by.
     std::vector<double> stage_sel;
     // Estimated selectivities of the compressed-domain stages, parallel
     // to `compressed`.

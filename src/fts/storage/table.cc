@@ -1,6 +1,7 @@
 #include "fts/storage/table.h"
 
 #include "fts/common/string_util.h"
+#include "fts/storage/table_statistics.h"
 
 namespace fts {
 
@@ -17,6 +18,8 @@ Table::Table(std::vector<ColumnDefinition> schema,
     }
     row_count_ += chunk->row_count();
   }
+  statistics_ =
+      std::make_shared<const TableStatistics>(TableStatistics::Compute(*this));
 }
 
 StatusOr<size_t> Table::ColumnIndex(const std::string& name) const {

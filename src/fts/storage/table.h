@@ -21,6 +21,8 @@ struct ColumnDefinition {
                          const ColumnDefinition& b) = default;
 };
 
+class TableStatistics;
+
 // An immutable column-major table: a schema plus a sequence of chunks.
 // Construct through TableBuilder.
 class Table {
@@ -43,10 +45,17 @@ class Table {
   // Boxed cell access for result materialization and tests.
   Value GetValue(size_t column_index, RowId row) const;
 
+  // Selectivity statistics (fts/storage/table_statistics.h), computed once
+  // by the constructor from the chunks' zone maps and a bounded sample.
+  const std::shared_ptr<const TableStatistics>& statistics() const {
+    return statistics_;
+  }
+
  private:
   std::vector<ColumnDefinition> schema_;
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   uint64_t row_count_ = 0;
+  std::shared_ptr<const TableStatistics> statistics_;
 };
 
 using TablePtr = std::shared_ptr<const Table>;

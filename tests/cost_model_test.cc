@@ -1,17 +1,20 @@
 // Calibrated cost model (fts/cost, DESIGN.md §14): profile round-trip and
-// version invalidation, selectivity estimation, chain-cost monotonicity,
-// and the per-chunk behaviors the model drives inside TableScanner —
-// re-ranking on adversarial skew and engine adaptation that never changes
-// results.
+// version invalidation, chain-cost monotonicity, and the per-chunk
+// behaviors the model drives inside TableScanner — re-ranking that agrees
+// with the planner on the paper's equality workload, re-ranking on
+// adversarial skew, and engine adaptation that never changes results.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "fts/common/cpu_info.h"
+#include "fts/common/string_util.h"
 #include "fts/cost/cost_model.h"
 #include "fts/cost/cost_profile.h"
+#include "fts/db/database.h"
 #include "fts/scan/table_scan.h"
+#include "fts/storage/data_generator.h"
 #include "fts/storage/table_builder.h"
 
 namespace fts {
@@ -123,39 +126,6 @@ TEST(CostProfileTest, FastCalibrationMeasuresThisMachine) {
   EXPECT_EQ(parsed->cpu, profile.cpu);
 }
 
-TEST(CostModelTest, UniformSelectivityEndpoints) {
-  using cost::EstimateUniformSelectivity;
-  // Integral [0, 9]: ten distinct values.
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kEq, 4), 0.1);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kLt, 5), 0.5);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kLe, 9), 1.0);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kGt, 9), 0.0);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kGe, 0), 1.0);
-  // Out-of-range literals decide the predicate outright.
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kEq, 100), 0.0);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(0, 9, CompareOp::kNe, 100), 1.0);
-  // Degenerate bounds estimate nothing.
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<int32_t>(5, 4, CompareOp::kLt, 5), 0.5);
-  // Floating domains: kEq is a nominal sliver, ranges are proportional.
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<double>(0.0, 10.0, CompareOp::kEq, 5.0),
-      0.001);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<double>(0.0, 10.0, CompareOp::kLt, 2.5),
-      0.25);
-  EXPECT_DOUBLE_EQ(
-      EstimateUniformSelectivity<double>(0.0, 10.0, CompareOp::kGe, 12.0),
-      0.0);
-}
-
 TEST(CostModelTest, ChainCostMonotonicInSelectivityAndRows) {
   const CostProfile& profile = cost::DefaultProfile();
   const auto chain = [](double first_sel) {
@@ -211,6 +181,44 @@ TEST(CostModelTest, StageRankPrefersSelectiveStages) {
                             cost::EncClass::kPlain32, 1.0),
             cost::StageRank(profile, ScanEngine::kScalarFused,
                             cost::EncClass::kPacked, 0.99));
+}
+
+// The paper's equality workload (match-probability data, 10/50/50/50 %).
+// The planner and the scan price predicates with one estimator, so the
+// planner's order survives per-chunk re-ranking, and each predicate's
+// estimated row count tracks its real one.
+TEST(CostModelTest, PaperEqualityKeepsPlannerOrder) {
+  ScanTableOptions options;
+  options.rows = 1 << 18;
+  options.selectivities = {0.1, 0.5, 0.5, 0.5};
+  options.chunk_size = 1 << 16;
+  options.seed = 23;
+  const GeneratedScanTable generated = MakeScanTable(options);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("t", generated.table).ok());
+
+  ScopedAdaptive adaptive(true);
+  // Written least selective first: the planner must reverse it, and the
+  // scan must then run every chunk in the planner's order.
+  const auto result = db.Query(
+      "SELECT COUNT(*) FROM t WHERE c3 = 3 AND c2 = 7 AND c1 = 2 AND c0 = 5");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result->count, generated.stage_matches.back());
+  EXPECT_TRUE(result->execution_report.model_active);
+  EXPECT_EQ(result->execution_report.chunks_reordered, 0u);
+
+  for (size_t p = 0; p < options.selectivities.size(); ++p) {
+    ScanSpec spec;
+    spec.predicates = {{StrFormat("c%zu", p), CompareOp::kEq,
+                        Value(generated.search_values[p])}};
+    const auto scanner = TableScanner::Prepare(generated.table, spec);
+    ASSERT_TRUE(scanner.ok());
+    const auto actual = scanner->ExecuteCount(ScanEngine::kSisdNoVec);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_NEAR(scanner->est_rows(), static_cast<double>(*actual),
+                0.2 * static_cast<double>(*actual))
+        << spec.predicates[0].column;
+  }
 }
 
 // Two chunk types with opposite value distributions under one conjunction:
